@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"grminer/internal/datagen"
+	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/metrics"
 	"grminer/internal/store"
@@ -170,4 +171,39 @@ func BenchmarkMineStatic(b *testing.B) {
 		opt.ExactGenerality = true
 		run(b, opt)
 	})
+}
+
+// BenchmarkWorkerCounts is the gate's round-2 benchmark: one batched Counts
+// call over every GR of a seeded shard worker's pool, answered from the
+// posting bitmaps. The result slice is the call's only allocation, so
+// allocs/op stays constant in the number of GRs — any per-GR allocation
+// multiplies it by the pool size.
+func BenchmarkWorkerCounts(b *testing.B) {
+	gateFixture(b)
+	opt, so, err := normalizeSharded(gateG, gateOpt, ShardOptions{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := graph.PartitionEdges(gateG, so.Shards, so.Strategy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := NewWorkerState(buildWorkerSpec(gateG, opt, planFromParts(opt, so, parts), parts[0], 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := w.Offer(nil); err != nil {
+		b.Fatal(err)
+	}
+	grs := make([]gr.GR, 0, len(w.pool))
+	for _, t := range w.pool {
+		grs = append(grs, t.gr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Counts(grs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

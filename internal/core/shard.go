@@ -148,15 +148,38 @@ func (p ShardPlan) String() string {
 	return b.String()
 }
 
-// shardCand is one union-pool entry: a GR with its per-shard counts. have
-// marks shards whose counts are known (offered, or delta-reported by a
-// worker's Ingest); the merge fetches the rest through the worker interface
-// without writing them back — a shard that never offered an entry may grow
-// its count later, so only worker-reported counts are durable.
+// countState records how a union-pool entry knows one shard's counts.
+type countState uint8
+
+const (
+	// countUnknown: the shard's counts are not held and per[s] is zero. The
+	// shard did not offer the entry, so its support there is below
+	// ShardMinSupp; the merge bounds it from the sketch and fetches it in
+	// round 2 if the bound survives.
+	countUnknown countState = iota
+	// countOffered: the shard offered the entry — its worker tracks it and
+	// delta-reports every change — so per[s] is the worker's exact count.
+	countOffered
+	// countKept: per[s] is an exact count the coordinator holds without the
+	// worker tracking the entry: a round-2 fetch, a sketch-proven zero, or a
+	// demotion's final counts. IncrementalSharded keeps it current by
+	// applying every routed edge itself (applyRouted).
+	countKept
+)
+
+// shardCand is one union-pool entry: a GR with its per-shard counts and, per
+// shard, how those counts are known. Every count but E is exact where the
+// state is not countUnknown (E is per-shard bookkeeping the merge replaces
+// with the global live edge count).
 type shardCand struct {
-	gr   gr.GR
-	per  []metrics.Counts
-	have []bool
+	gr    gr.GR
+	per   []metrics.Counts
+	state []countState
+}
+
+// newShardCand allocates an entry with every shard's counts unknown.
+func newShardCand(g gr.GR, shards int) *shardCand {
+	return &shardCand{gr: g, per: make([]metrics.Counts, shards), state: make([]countState, shards)}
 }
 
 // ShardCoordinator owns a sharded mining run: the plan, the per-shard
@@ -355,15 +378,11 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 			key := cand.GR.Key()
 			u := pool[key]
 			if u == nil {
-				u = &shardCand{
-					gr:   cand.GR,
-					per:  make([]metrics.Counts, len(sc.workers)),
-					have: make([]bool, len(sc.workers)),
-				}
+				u = newShardCand(cand.GR, len(sc.workers))
 				pool[key] = u
 			}
 			u.per[i] = cand.Counts
-			u.have[i] = true
+			u.state[i] = countOffered
 		}
 	}
 
@@ -375,27 +394,22 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 	return &Result{TopK: topList, Stats: stats, Options: sc.opt, TotalEdges: sc.totalEdges}, nil
 }
 
-// mergeItem is one merge survivor: the union-pool entry plus, per shard,
-// the index of its round-2 fetched counts (-1 where the entry's counts are
-// already known). Fetched counts live beside the pool, never in it.
-type mergeItem struct {
-	u     *shardCand
-	fetch []int32
-}
-
 // mergeShardPool re-scores every pool candidate from its summed per-shard
 // counts and applies Definition 5 conditions (1)-(3) globally. It is shared
 // by the batch coordinator and the sharded incremental engine.
 //
-// Round-2 bounding: a shard that did not offer a candidate holds at most
-// t−1 = shardMinSupp−1 of its support (the offer round enumerates every GR
-// at or above that threshold; the OfferBound prune only ever removes
-// globally non-qualifying GRs, for which any rejection is correct), and at
-// most its sketch's smallest singleton count for the candidate's
-// conditions. A candidate whose known supports plus those caps cannot reach
-// MinSupp fails condition (1) without a counting scan; survivors' missing
-// counts are fetched in one batched Counts call per worker. Stats records
-// the actual (candidate, shard) fetch volume (ExactCountRequests) alongside
+// Round-2 bounding: a shard whose counts are unknown did not offer the
+// candidate, so it holds at most t−1 = shardMinSupp−1 of its support (the
+// offer round enumerates every GR at or above that threshold; the
+// OfferBound prune only ever removes globally non-qualifying GRs, for which
+// any rejection is correct), and at most its sketch's smallest singleton
+// count for the candidate's conditions. A candidate whose known supports
+// plus those caps cannot reach MinSupp fails condition (1) without a
+// counting query; survivors' unknown counts are fetched in one batched
+// Counts call per worker. Fetched counts (and sketch-proven zeros) are
+// written back into the pool as countKept, so a pool the caller maintains
+// across merges never asks a shard for the same GR twice. Stats records the
+// actual (candidate, shard) fetch volume (ExactCountRequests) alongside
 // what the PR 3 one-round bound would have fetched from the same pool
 // (OneRoundGapFill) — the protocol's measured saving.
 func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool map[string]*shardCand, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
@@ -407,52 +421,47 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 
 	// Round-2 bound pass: pure arithmetic over known counts and sketches.
 	n := len(workers)
-	items := make([]mergeItem, 0, len(keys))
+	items := make([]*shardCand, 0, len(keys))
 	needs := make([][]gr.GR, n)
+	asked := make([][]*shardCand, n) // asked[s][i] is the entry needs[s][i] fetches for
 	for _, key := range keys {
 		u := pool[key]
 		known := 0
 		unknown := 0
+		bound := 0
 		for s := 0; s < n; s++ {
-			if u.have[s] {
+			if u.state[s] != countUnknown {
 				known += u.per[s].LWR
-			} else {
-				unknown++
-			}
-		}
-		if known+(shardMinSupp-1)*unknown >= opt.MinSupp {
-			stats.OneRoundGapFill += int64(unknown)
-		}
-		bound := known
-		for s := 0; s < n; s++ {
-			if u.have[s] {
 				continue
 			}
+			unknown++
 			slack := shardMinSupp - 1
 			if ms := sketches[s].minSingle(u.gr); ms < slack {
 				slack = ms
 			}
 			bound += slack
 		}
-		if bound < opt.MinSupp {
+		if known+(shardMinSupp-1)*unknown >= opt.MinSupp {
+			stats.OneRoundGapFill += int64(unknown)
+		}
+		if known+bound < opt.MinSupp {
 			continue // cannot satisfy condition (1); skip the verify round
 		}
-		it := mergeItem{u: u}
-		if unknown > 0 {
-			it.fetch = make([]int32, n)
-			for s := 0; s < n; s++ {
-				it.fetch[s] = -1
-				// A shard whose sketch proves it cannot contribute to any
-				// count the metric reads is taken as zero without a fetch
-				// (fetch index stays -1).
-				if !u.have[s] && sketches[s].contributes(opt.Metric, u.gr) {
-					it.fetch[s] = int32(len(needs[s]))
-					needs[s] = append(needs[s], u.gr)
-					stats.ExactCountRequests++
-				}
+		for s := 0; s < n; s++ {
+			if u.state[s] != countUnknown {
+				continue
+			}
+			if sketches[s].contributes(opt.Metric, u.gr) {
+				needs[s] = append(needs[s], u.gr)
+				asked[s] = append(asked[s], u)
+				stats.ExactCountRequests++
+			} else {
+				// The sketch proves every count the metric reads is zero on
+				// this shard: per[s] (still zero) is exact without a fetch.
+				u.state[s] = countKept
 			}
 		}
-		items = append(items, it)
+		items = append(items, u)
 	}
 
 	// Round-2 fetch pass: one batched exact-count query per worker.
@@ -474,8 +483,12 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d exact counts: %w", s, err)
 		}
-		if len(needs[s]) > 0 && len(fetched[s]) != len(needs[s]) {
+		if len(fetched[s]) != len(needs[s]) {
 			return nil, fmt.Errorf("core: shard %d returned %d counts for %d queries", s, len(fetched[s]), len(needs[s]))
+		}
+		for i, u := range asked[s] {
+			u.per[s] = fetched[s][i]
+			u.state[s] = countKept
 		}
 	}
 
@@ -511,16 +524,9 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 				if i >= len(items) {
 					return
 				}
-				it := items[i]
+				u := items[i]
 				var c metrics.Counts
-				for s := 0; s < n; s++ {
-					per := it.u.per[s]
-					if !it.u.have[s] {
-						if it.fetch[s] < 0 {
-							continue // provably zero contribution, never fetched
-						}
-						per = fetched[s][it.fetch[s]]
-					}
+				for _, per := range u.per {
 					c.LWR += per.LWR
 					c.LW += per.LW
 					c.Hom += per.Hom
@@ -532,7 +538,7 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 					continue
 				}
 				qualifying.Add(1)
-				s := gr.Scored{GR: it.u.gr, Supp: c.LWR, Score: score, Conf: metrics.Conf(c)}
+				s := gr.Scored{GR: u.gr, Supp: c.LWR, Score: score, Conf: metrics.Conf(c)}
 				if useFloor {
 					if opt.K > 0 && score < floor.load() {
 						continue

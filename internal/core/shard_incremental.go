@@ -29,7 +29,10 @@
 //     condition (1) with the sketch-capped round-2 bound, and the exact
 //     blocker merge for conditions (2)-(3). The coordinator keeps the
 //     per-shard coarse count sketches fresh itself while routing (it sees
-//     every edge), so no extra round trip is spent on them.
+//     every edge), so no extra round trip is spent on them. For the same
+//     reason it keeps every round-2 count it fetched: the count stays on
+//     the union-pool entry and routing moves it (applyRouted), so the next
+//     merge need not ask the shard again.
 //
 // The maintained per-shard pools deliberately omit the batch protocol's
 // OfferBound prune: a bound derived from a past edge set can rise as other
@@ -48,8 +51,8 @@ import (
 	"sync"
 	"time"
 
+	"grminer/internal/gr"
 	"grminer/internal/graph"
-	"grminer/internal/metrics"
 )
 
 // IncrementalSharded maintains the top-k GRs of a growing network over a
@@ -184,8 +187,10 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		return nil, IncStats{}, err
 	}
 	owned := make([]Batch, len(inc.workers))
+	routed := make([]routedEdge, 0, len(b.Ins)+len(delIDs))
 	for _, e := range b.Ins {
-		if _, err := inc.g.AddEdge(e.Src, e.Dst, e.Vals...); err != nil {
+		id, err := inc.g.AddEdge(e.Src, e.Dst, e.Vals...)
+		if err != nil {
 			// Unreachable after CheckEdge; kept as an invariant guard.
 			return nil, IncStats{}, err
 		}
@@ -195,8 +200,10 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		}
 		owned[s].Ins = append(owned[s].Ins, e)
 		// The coordinator routes every edge, so it keeps the coarse count
-		// sketches fresh without a round trip.
-		inc.sketches[s].addEdge(inc.g.NodeValues(e.Src), inc.g.NodeValues(e.Dst), e.Vals)
+		// sketches and the kept counts fresh without a round trip.
+		re := routedEdge{shard: s, src: inc.g.NodeValues(e.Src), dst: inc.g.NodeValues(e.Dst), val: inc.g.EdgeValues(id), sign: 1}
+		inc.sketches[s].addEdge(re.src, re.dst, re.val)
+		routed = append(routed, re)
 	}
 	for i, id := range delIDs {
 		src, dst := inc.g.Src(id), inc.g.Dst(id)
@@ -210,8 +217,11 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		owned[s].Del = append(owned[s].Del, b.Del[i])
 		// Tombstoned values stay readable; the sketch keeps matching the
 		// shard's surviving edges.
-		inc.sketches[s].removeEdge(inc.g.NodeValues(src), inc.g.NodeValues(dst), inc.g.EdgeValues(id))
+		re := routedEdge{shard: s, src: inc.g.NodeValues(src), dst: inc.g.NodeValues(dst), val: inc.g.EdgeValues(id), sign: -1}
+		inc.sketches[s].removeEdge(re.src, re.dst, re.val)
+		routed = append(routed, re)
 	}
+	inc.applyRouted(routed)
 
 	bs := IncStats{Batches: 1, Edges: len(b.Ins), Deleted: len(b.Del)}
 	replies := make([]IngestReply, len(inc.workers))
@@ -275,19 +285,21 @@ func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int, error) {
 	}, g.EdgeValue)
 }
 
-// upsertShard records (or refreshes) one shard's exact counts for a GR.
-// Other shards' counts are NOT fetched here: the merge requests them lazily
-// and only for candidates whose support bound survives (see
-// mergeShardPool), which keeps pool maintenance linear in the deltas. The
-// invariant the bound needs — have[s] false ⟹ shard s's support is below
-// ShardMinSupp — holds throughout: the batch that pushes a GR's support
-// over the threshold on shard s matches the GR's full descriptor there, so
-// that shard's scoped re-mine re-captures it and the delta lands back here;
-// and a deletion that demotes it below the threshold arrives as a delta
-// with final counts under ShardMinSupp, flipping have[s] back to false
-// (the worker stopped tracking it, so its future counts are unknown here).
-// An entry no worker tracks leaves the pool entirely — n·(t−1) < minSupp,
-// so it cannot qualify globally.
+// upsertShard records (or refreshes) one shard's exact counts for a GR from
+// a worker offer or ingest delta. Other shards' counts are NOT fetched
+// here: the merge requests them lazily and only for candidates whose
+// support bound survives (see mergeShardPool), which keeps pool maintenance
+// linear in the deltas. The invariant the bound needs — state[s] unknown or
+// kept ⟹ shard s's support is below ShardMinSupp — holds throughout: the
+// batch that pushes a GR's support over the threshold on shard s matches
+// the GR's full descriptor there, so that shard's scoped re-mine
+// re-captures it and the delta lands back here as countOffered; and a
+// deletion that demotes it below the threshold arrives as a delta with
+// final counts under ShardMinSupp. Those final counts are exact, so they
+// seed a kept count (state countKept) that applyRouted keeps current from
+// then on — the shard never has to be asked for them. An entry no worker
+// tracks leaves the pool entirely — n·(t−1) < minSupp, so it cannot qualify
+// globally.
 func (inc *IncrementalSharded) upsertShard(s int, cand ShardCandidate) {
 	key := cand.GR.Key()
 	t := inc.pool[key]
@@ -295,10 +307,10 @@ func (inc *IncrementalSharded) upsertShard(s int, cand ShardCandidate) {
 		if t == nil {
 			return
 		}
-		t.per[s] = metrics.Counts{}
-		t.have[s] = false
-		for _, h := range t.have {
-			if h {
+		t.per[s] = cand.Counts
+		t.state[s] = countKept
+		for _, st := range t.state {
+			if st == countOffered {
 				return
 			}
 		}
@@ -306,15 +318,83 @@ func (inc *IncrementalSharded) upsertShard(s int, cand ShardCandidate) {
 		return
 	}
 	if t == nil {
-		t = &shardCand{
-			gr:   cand.GR,
-			per:  make([]metrics.Counts, len(inc.workers)),
-			have: make([]bool, len(inc.workers)),
-		}
+		t = newShardCand(cand.GR, len(inc.workers))
 		inc.pool[key] = t
 	}
 	t.per[s] = cand.Counts
-	t.have[s] = true
+	t.state[s] = countOffered
+}
+
+// routedEdge is one edge of a batch as the coordinator routed it: the
+// owning shard, the attribute values the match rules read, and +1 for an
+// insertion or −1 for a retraction.
+type routedEdge struct {
+	shard         int
+	src, dst, val []graph.Value
+	sign          int
+}
+
+// applyRouted moves every kept count by the batch's routed edges, with the
+// match rules of WorkerState.recount: an edge matching l ∧ w moves LW, and
+// then LWR if it matches r, or else Hom if its destination carries the LHS
+// value on every β attribute; an edge matching r moves R. Offered counts
+// are left alone — their worker reports the new values as deltas. A kept
+// count thus stays shard s's exact count over its live edges, because
+// routing is the shard's only source of edges (and failover restores a
+// shard bit-identically). It must run before the batch's deltas are
+// upserted: a delta that promotes a kept entry replaces its count outright.
+func (inc *IncrementalSharded) applyRouted(edges []routedEdge) {
+	if len(edges) == 0 {
+		return
+	}
+	schema := inc.g.Schema()
+	needR, needHom := inc.opt.Metric.NeedsR, inc.opt.Metric.NeedsHom
+	for _, u := range inc.pool {
+		for _, e := range edges {
+			if u.state[e.shard] != countKept {
+				continue
+			}
+			c := &u.per[e.shard]
+			rMatch := matchVals(e.dst, u.gr.R)
+			if matchVals(e.src, u.gr.L) && matchVals(e.val, u.gr.W) {
+				c.LW += e.sign
+				if rMatch {
+					c.LWR += e.sign
+				} else if needHom && matchHomVals(e.src, e.dst, betaMaskOf(schema, u.gr.L, u.gr.R)) {
+					c.Hom += e.sign
+				}
+			}
+			if needR && rMatch {
+				c.R += e.sign
+			}
+		}
+	}
+}
+
+// matchVals reports whether an attribute-value row satisfies every
+// condition of d.
+func matchVals(vals []graph.Value, d gr.Descriptor) bool {
+	for _, c := range d {
+		if vals[c.Attr] != c.Val {
+			return false
+		}
+	}
+	return true
+}
+
+// matchHomVals is matchHomOn over attribute-value rows: a non-empty β whose
+// every attribute carries the source's value at the destination (the edge
+// already matches l, so the source's value is the LHS value).
+func matchHomVals(src, dst []graph.Value, betaMask uint64) bool {
+	if betaMask == 0 {
+		return false
+	}
+	for a := range dst {
+		if betaMask&(1<<uint(a)) != 0 && dst[a] != src[a] {
+			return false
+		}
+	}
+	return true
 }
 
 // assemble runs the coordinator merge (with its round-2 exact-count

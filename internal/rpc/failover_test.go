@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"grminer/internal/core"
+	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/rpc"
 )
@@ -300,6 +301,70 @@ func TestErrorTaxonomy(t *testing.T) {
 	if !te.WorkerLost() || te.Unwrap() == nil {
 		t.Fatalf("TransportError not marked worker-lost: %+v", te)
 	}
+}
+
+// TestCountsMalformedGRDaemonSurvives: round-2 GRs come off the wire, so a
+// GR outside the shard's schema (here an LHS attribute index of 40) must
+// come back as an in-band error — not a transport loss, which would engage
+// failover — and the session, the worker and the daemon must keep serving.
+func TestCountsMalformedGRDaemonSurvives(t *testing.T) {
+	addr := startWorkers(t, 1)[0]
+	var spec core.WorkerSpec
+	capture := core.WorkerBuilder(func(s core.WorkerSpec) (core.ShardWorker, error) {
+		spec = s
+		return core.NewWorkerState(s)
+	})
+	sc, err := core.NewShardCoordinatorFrom(randomGraph(3, true, false),
+		core.Options{MinSupp: 2, MinScore: 0.3, K: 10}, core.ShardOptions{Shards: 1}, capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	local, err := core.NewWorkerState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, err := c.Slot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slot.Build(spec); err != nil {
+		t.Fatal(err)
+	}
+	good := gr.GR{L: gr.Descriptor{{Attr: 0, Val: 1}}, R: gr.Descriptor{{Attr: 1, Val: 1}}}
+	bad := gr.GR{L: gr.Descriptor{{Attr: 40, Val: 1}}, R: gr.Descriptor{{Attr: 1, Val: 1}}}
+	_, err = slot.Counts([]gr.GR{good, bad})
+	var te *rpc.TransportError
+	if err == nil || errors.As(err, &te) {
+		t.Fatalf("malformed round-2 GR: want a plain in-band error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("in-band error lost its cause: %v", err)
+	}
+	got, err := slot.Counts([]gr.GR{good})
+	if err != nil {
+		t.Fatalf("session did not survive the rejected request: %v", err)
+	}
+	want, err := local.Counts([]gr.GR{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("counts after the rejection: daemon %+v, local worker %+v", got[0], want[0])
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatalf("daemon stopped accepting sessions: %v", err)
+	}
+	c2.Close()
 }
 
 // TestRebuildSkipsMismatchedStandby: a standby that rejects the handshake

@@ -319,3 +319,44 @@ func TestBuildOverTombstonedGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestAndAllIntoAndCount checks the fused multi-way intersections against
+// per-row membership, over bitmaps of different word lengths (a bitmap only
+// grows to its highest row, so intersections must treat missing words as
+// zero) and with a reused destination that starts longer than the result.
+func TestAndAllIntoAndCount(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	dst := make(Bitmap, 16)
+	for trial := 0; trial < 200; trial++ {
+		bs := make([]Bitmap, 1+r.Intn(4))
+		for i := range bs {
+			for n := r.Intn(300); n > 0; n-- {
+				bs[i] = bs[i].Set(int32(r.Intn(64 * (1 + r.Intn(8)))))
+			}
+		}
+		var want []int32
+		for row := int32(0); row < 64*8; row++ {
+			in := true
+			for _, b := range bs {
+				in = in && b.Has(row)
+			}
+			if in {
+				want = append(want, row)
+			}
+		}
+		var n int
+		dst, n = AndAllInto(dst, bs)
+		if got := dst.RowsInto(nil); n != len(want) || len(got) != len(want) {
+			t.Fatalf("trial %d: AndAllInto counted %d and holds %d rows, want %d", trial, n, len(got), len(want))
+		} else {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: AndAllInto row %d is %d, want %d", trial, i, got[i], want[i])
+				}
+			}
+		}
+		if c := AndCount(bs); c != len(want) {
+			t.Fatalf("trial %d: AndCount %d, want %d", trial, c, len(want))
+		}
+	}
+}

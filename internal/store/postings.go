@@ -87,6 +87,54 @@ func AndInto(dst, a, b Bitmap) Bitmap {
 	return dst
 }
 
+// AndAllInto writes the intersection of every bitmap in bs (at least one)
+// into dst[:0] and returns it together with its size, ANDing and counting in
+// one pass over the words.
+func AndAllInto(dst Bitmap, bs []Bitmap) (Bitmap, int) {
+	n := minLen(bs)
+	if cap(dst) < n {
+		dst = make(Bitmap, n)
+	}
+	dst = dst[:n]
+	count := 0
+	for i := range dst {
+		w := bs[0][i]
+		for _, b := range bs[1:] {
+			w &= b[i]
+		}
+		dst[i] = w
+		count += bits.OnesCount64(w)
+	}
+	return dst, count
+}
+
+// AndCount returns the size of the intersection of every bitmap in bs (at
+// least one) without materialising it.
+func AndCount(bs []Bitmap) int {
+	n := minLen(bs)
+	count := 0
+	for i := 0; i < n; i++ {
+		w := bs[0][i]
+		for _, b := range bs[1:] {
+			w &= b[i]
+		}
+		count += bits.OnesCount64(w)
+	}
+	return count
+}
+
+// minLen returns the word length of the shortest bitmap in bs; the words past
+// it are zero in the intersection.
+func minLen(bs []Bitmap) int {
+	n := len(bs[0])
+	for _, b := range bs[1:] {
+		if len(b) < n {
+			n = len(b)
+		}
+	}
+	return n
+}
+
 // Set returns b with row added, growing the word array as needed. Callers
 // owning scratch bitmaps (the miner's partition bitmaps) build them with Set
 // and undo with Clear.
