@@ -361,7 +361,7 @@ func NewRemoteShardCoordinator(g *Graph, opt Options, so ShardOptions, workers [
 
 // NewIncrementalRemote is NewIncrementalSharded over shardd worker daemons:
 // each worker ingests its routed batch slices and maintains its own relaxed
-// candidate pool; only pool deltas and count queries cross the wire.
+// candidate pool; only pool entrants and count queries cross the wire.
 // Callers must Close the engine to release the connections.
 //
 // Deprecated: use Open with EngineConfig{Mode: ModeIncremental, Options:

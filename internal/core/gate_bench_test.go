@@ -207,3 +207,62 @@ func BenchmarkWorkerCounts(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWorkerIngest is the gate's worker-side ingest benchmark: one
+// mixed +12/−4 batch into a seeded shard worker of a 4-shard layout —
+// recount, scoped re-mine and the entrants-only reply. The spec holds the
+// shard's edges minus its last 12, which the batch inserts while retracting
+// 4 of the first. After each timed batch the inverse batch (retract the 12,
+// re-insert the 4) runs untimed: a worker's pool is exactly the GRs at or
+// above the shard threshold, so it returns to the same entries and counts,
+// and the next iteration re-applies the batch from the same state.
+func BenchmarkWorkerIngest(b *testing.B) {
+	gateFixture(b)
+	opt, so, err := normalizeSharded(gateG, gateOpt, ShardOptions{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := graph.PartitionEdges(gateG, so.Shards, so.Strategy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part := parts[0]
+	w, err := NewWorkerState(buildWorkerSpec(gateG, opt, planFromParts(opt, so, parts), part[:len(part)-12], 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := w.Offer(nil); err != nil {
+		b.Fatal(err)
+	}
+	var fwd, inv Batch
+	edge := func(e32 int32) (int, int, []graph.Value) {
+		e := int(e32)
+		return gateG.Src(e), gateG.Dst(e), append([]graph.Value(nil), gateG.EdgeValues(e)...)
+	}
+	for _, e := range part[len(part)-12:] {
+		src, dst, vals := edge(e)
+		fwd.Ins = append(fwd.Ins, EdgeInsert{Src: src, Dst: dst, Vals: vals})
+		inv.Del = append(inv.Del, EdgeDelete{Src: src, Dst: dst, Vals: vals})
+	}
+	for _, e := range part[:4] {
+		src, dst, vals := edge(e)
+		fwd.Del = append(fwd.Del, EdgeDelete{Src: src, Dst: dst, Vals: vals})
+		inv.Ins = append(inv.Ins, EdgeInsert{Src: src, Dst: dst, Vals: vals})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := w.Ingest(fwd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Deltas) == 0 {
+			b.Fatal("the batch brought no entrant; the reply is not exercised")
+		}
+		b.StopTimer()
+		if _, err := w.Ingest(inv); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -90,14 +90,18 @@ func (b *killBuilder) Rebuild(spec WorkerSpec) (ShardWorker, error) {
 	return b.Build(spec)
 }
 
-// TestIncrementalShardedKeptCountsOracle streams random insert/retract
-// batches through a 3-shard engine while workers are killed and replaced,
-// and after every batch checks the union pool against the shards: every
+// TestIncrementalShardedKeptCountsOracle is the mirror oracle. It streams
+// random insert/retract batches through a 3-shard engine while workers are
+// killed and replaced, and after every batch checks the union pool against
+// the shards: the GRs offered on shard s are exactly worker s's pool, every
 // known count — offered or kept — equals a fresh Counts from its shard's
 // current worker, every kept count is below the shard threshold (a shard at
 // or above it tracks the entry and offers it), and the top-k equals a fresh
-// single-store mine. minSupp 9 over 3 shards puts the shard threshold at 3,
-// so the merge's bound pass leaves round-2 fetches to keep.
+// single-store mine. The workers reply with entrants only, so every other
+// count the pool holds was moved, and every demotion derived, by the
+// coordinator's own routing. minSupp 9 over 3 shards puts the shard
+// threshold at 3, so the merge's bound pass leaves round-2 fetches to keep
+// and retractions demote entries.
 func TestIncrementalShardedKeptCountsOracle(t *testing.T) {
 	type config struct {
 		m     metrics.Metric
@@ -119,13 +123,14 @@ func TestIncrementalShardedKeptCountsOracle(t *testing.T) {
 		}
 		label := cfg.m.Name
 		r := rand.New(rand.NewSource(seed * 17))
-		kept, kills := 0, 0
+		kept, kills, demoted := 0, 0, 0
 		for b := 0; b < 16; b++ {
 			if r.Intn(3) == 0 {
 				build.byShard[r.Intn(so.Shards)].armed = true
 				kills++
 			}
 			known := knownPairs(inc)
+			offered := offeredPairs(inc)
 			clear(build.asked)
 			ins, del := 1+r.Intn(12), r.Intn(8)
 			if _, _, err := inc.ApplyBatch(randomMixedBatch(r, inc.g, ins, del)); err != nil {
@@ -141,6 +146,25 @@ func TestIncrementalShardedKeptCountsOracle(t *testing.T) {
 				}
 			}
 			kept += checkKeptCounts(t, label, inc, build)
+			for s, keys := range offered {
+				for key, u := range keys {
+					if inc.pool[key] != u || u.state[s] != countOffered {
+						demoted++
+					}
+				}
+			}
+			for s := range inc.workers {
+				pool := build.byShard[s].w.pool
+				now := offeredPairs(inc)[s]
+				if len(now) != len(pool) {
+					t.Fatalf("%s batch %d: shard %d offers %d GRs, its worker tracks %d", label, b, s, len(now), len(pool))
+				}
+				for key := range pool {
+					if now[key] == nil {
+						t.Fatalf("%s batch %d: worker %d tracks %s, which the pool does not mark offered", label, b, s, key)
+					}
+				}
+			}
 			ref, err := Mine(inc.g, inc.Options())
 			if err != nil {
 				t.Fatal(err)
@@ -159,6 +183,9 @@ func TestIncrementalShardedKeptCountsOracle(t *testing.T) {
 		if kept == 0 {
 			t.Fatalf("%s: the engine never kept a count — the oracle checked nothing", label)
 		}
+		if demoted == 0 {
+			t.Fatalf("%s: no offered entry was demoted — the stream never exercised derived demotion", label)
+		}
 		if kills == 0 || build.rebuilds == 0 {
 			t.Fatalf("%s: no worker was replaced (%d kills, %d rebuilds)", label, kills, build.rebuilds)
 		}
@@ -176,6 +203,21 @@ func knownPairs(inc *IncrementalSharded) []map[string]*shardCand {
 		out[s] = make(map[string]*shardCand)
 		for key, u := range inc.pool {
 			if u.state[s] != countUnknown {
+				out[s][key] = u
+			}
+		}
+	}
+	return out
+}
+
+// offeredPairs maps, per shard, the key of every pool entry that shard
+// offers.
+func offeredPairs(inc *IncrementalSharded) []map[string]*shardCand {
+	out := make([]map[string]*shardCand, len(inc.workers))
+	for s := range out {
+		out[s] = make(map[string]*shardCand)
+		for key, u := range inc.pool {
+			if u.state[s] == countOffered {
 				out[s][key] = u
 			}
 		}

@@ -157,13 +157,14 @@ const (
 	// ShardMinSupp; the merge bounds it from the sketch and fetches it in
 	// round 2 if the bound survives.
 	countUnknown countState = iota
-	// countOffered: the shard offered the entry — its worker tracks it and
-	// delta-reports every change — so per[s] is the worker's exact count.
+	// countOffered: the shard offered the entry, so its worker tracks it
+	// and per[s] is the worker's exact count. IncrementalSharded keeps it
+	// current by applying every routed edge itself (applyRouted).
 	countOffered
 	// countKept: per[s] is an exact count the coordinator holds without the
-	// worker tracking the entry: a round-2 fetch, a sketch-proven zero, or a
-	// demotion's final counts. IncrementalSharded keeps it current by
-	// applying every routed edge itself (applyRouted).
+	// worker tracking the entry: a round-2 fetch, a sketch-proven zero, or
+	// an offered count that routing moved below the shard threshold.
+	// IncrementalSharded keeps it current the same way (applyRouted).
 	countKept
 )
 
@@ -180,6 +181,32 @@ type shardCand struct {
 // newShardCand allocates an entry with every shard's counts unknown.
 func newShardCand(g gr.GR, shards int) *shardCand {
 	return &shardCand{gr: g, per: make([]metrics.Counts, shards), state: make([]countState, shards)}
+}
+
+// upsertShard marks a worker's offer or ingest entrant offered on shard s,
+// creating its pool entry if needed. It checks the reply first, leaving the
+// pool unchanged on error: the GR must be valid for the schema (the merge
+// indexes sketches by it), its support must reach the shard threshold, and
+// shard s must not offer it already (a worker offers each GR once and
+// reports an entrant only when it is new to its pool).
+func upsertShard(pool map[string]*shardCand, schema *graph.Schema, shardMinSupp, shards, s int, cand ShardCandidate) error {
+	if err := cand.GR.Valid(schema); err != nil {
+		return fmt.Errorf("core: shard %d offered a malformed GR: %w", s, err)
+	}
+	if cand.Counts.LWR < shardMinSupp {
+		return fmt.Errorf("core: shard %d offered %s at support %d, below the shard threshold %d", s, cand.GR, cand.Counts.LWR, shardMinSupp)
+	}
+	key := cand.GR.Key()
+	u := pool[key]
+	if u == nil {
+		u = newShardCand(cand.GR, shards)
+		pool[key] = u
+	} else if u.state[s] == countOffered {
+		return fmt.Errorf("core: shard %d offered %s twice", s, cand.GR)
+	}
+	u.per[s] = cand.Counts
+	u.state[s] = countOffered
+	return nil
 }
 
 // ShardCoordinator owns a sharded mining run: the plan, the per-shard
@@ -375,14 +402,9 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 	pool := make(map[string]*shardCand)
 	for i, offers := range pools {
 		for _, cand := range offers {
-			key := cand.GR.Key()
-			u := pool[key]
-			if u == nil {
-				u = newShardCand(cand.GR, len(sc.workers))
-				pool[key] = u
+			if err := upsertShard(pool, sc.schema, sc.plan.ShardMinSupp, len(sc.workers), i, cand); err != nil {
+				return nil, err
 			}
-			u.per[i] = cand.Counts
-			u.state[i] = countOffered
 		}
 	}
 

@@ -20,19 +20,18 @@
 //     discovers every entrant. No DeltaSafe gate is needed: the lift
 //     family's global-score movement is re-evaluated at merge time from
 //     summed counts, so every metric takes the scoped path and no batch
-//     ever falls back to a full re-mine. The worker replies with the pool
-//     deltas — every entry the batch touched — and the coordinator's union
-//     pool mirrors the worker pools without ever reading shard-local state.
+//     ever falls back to a full re-mine. The worker replies with its
+//     entrants only. The coordinator routes every edge, so it moves every
+//     count it holds and derives every demotion itself (applyRouted): for
+//     each shard s, the GRs its union pool offers there are exactly worker
+//     s's pool, and every count it holds is exact.
 //
 //   - Across shards, every Apply ends with the coordinator merge of
 //     shard.go over the maintained global pool: summed counts, global
 //     condition (1) with the sketch-capped round-2 bound, and the exact
-//     blocker merge for conditions (2)-(3). The coordinator keeps the
-//     per-shard coarse count sketches fresh itself while routing (it sees
-//     every edge), so no extra round trip is spent on them. For the same
-//     reason it keeps every round-2 count it fetched: the count stays on
-//     the union-pool entry and routing moves it (applyRouted), so the next
-//     merge need not ask the shard again.
+//     blocker merge for conditions (2)-(3). Routing also keeps the
+//     per-shard coarse count sketches and every kept round-2 count fresh,
+//     so neither costs a round trip.
 //
 // The maintained per-shard pools deliberately omit the batch protocol's
 // OfferBound prune: a bound derived from a past edge set can rise as other
@@ -65,8 +64,7 @@ type IncrementalSharded struct {
 	workers  []ShardWorker
 	sketches []ShardSketch
 	// pool is the maintained union of the per-shard relaxed pools: exact
-	// per-shard counts for every GR some shard's support qualifies,
-	// assembled purely from worker offers and ingest deltas.
+	// per-shard counts for every GR some shard's support qualifies.
 	pool map[string]*shardCand
 	last *Result
 	cum  IncStats
@@ -119,7 +117,10 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 		}
 		addStats(&stats, &shardStats[i])
 		for _, cand := range pools[i] {
-			inc.upsertShard(i, cand)
+			if err := upsertShard(inc.pool, g.Schema(), plan.ShardMinSupp, len(workers), i, cand); err != nil {
+				inc.Close()
+				return nil, fmt.Errorf("core: shard %d seed: %w", i, err)
+			}
 		}
 	}
 	inc.last, err = inc.assemble(&stats, time.Since(start))
@@ -162,16 +163,17 @@ func (inc *IncrementalSharded) Apply(edges []EdgeInsert) (*Result, IncStats, err
 // ApplyBatch validates the whole mixed batch, applies it to the owned graph,
 // routes every insertion and retraction to its owning shard (the routing
 // strategies are endpoint-pure, so a retraction lands on the shard holding
-// the edge), hands each worker its slice to ingest (worker-side pool
-// maintenance, including below-threshold demotions), applies the returned
-// deltas to the union pool, and re-merges the global top-k. Like
+// the edge) while moving the union pool's counts by it, hands each worker
+// its slice to ingest (worker-side pool maintenance), marks the returned
+// entrants offered, and re-merges the global top-k. Like
 // Incremental.ApplyBatch, a malformed insert or an unmatched retraction
 // rejects the batch before any state changes; retractions resolve against
 // the pre-batch edge set. A failure *after* the graph has changed — a
 // worker that could not ingest its slice, which only a remote transport can
 // produce — permanently poisons the engine: the coordinator and that worker
 // now disagree on the edge set, so every further Apply returns the original
-// error instead of a silently under-counted result.
+// error instead of a silently under-counted result. An ingest reply that
+// fails upsertShard's checks poisons the engine the same way.
 func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 	if inc.broken != nil {
 		return nil, IncStats{}, fmt.Errorf("core: sharded incremental engine unusable after earlier failure: %w", inc.broken)
@@ -254,7 +256,10 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		bs.SubtreesTotal += rep.SubtreesTotal
 		addStats(&stats, &rep.Stats)
 		for _, cand := range rep.Deltas {
-			inc.upsertShard(s, cand)
+			if err := upsertShard(inc.pool, inc.g.Schema(), inc.plan.ShardMinSupp, len(inc.workers), s, cand); err != nil {
+				inc.broken = fmt.Errorf("core: shard %d ingest: %w", s, err)
+				return nil, IncStats{}, inc.broken
+			}
 		}
 	}
 	inc.last, err = inc.assemble(&stats, time.Since(start))
@@ -285,46 +290,6 @@ func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int, error) {
 	}, g.EdgeValue)
 }
 
-// upsertShard records (or refreshes) one shard's exact counts for a GR from
-// a worker offer or ingest delta. Other shards' counts are NOT fetched
-// here: the merge requests them lazily and only for candidates whose
-// support bound survives (see mergeShardPool), which keeps pool maintenance
-// linear in the deltas. The invariant the bound needs — state[s] unknown or
-// kept ⟹ shard s's support is below ShardMinSupp — holds throughout: the
-// batch that pushes a GR's support over the threshold on shard s matches
-// the GR's full descriptor there, so that shard's scoped re-mine
-// re-captures it and the delta lands back here as countOffered; and a
-// deletion that demotes it below the threshold arrives as a delta with
-// final counts under ShardMinSupp. Those final counts are exact, so they
-// seed a kept count (state countKept) that applyRouted keeps current from
-// then on — the shard never has to be asked for them. An entry no worker
-// tracks leaves the pool entirely — n·(t−1) < minSupp, so it cannot qualify
-// globally.
-func (inc *IncrementalSharded) upsertShard(s int, cand ShardCandidate) {
-	key := cand.GR.Key()
-	t := inc.pool[key]
-	if cand.Counts.LWR < inc.plan.ShardMinSupp {
-		if t == nil {
-			return
-		}
-		t.per[s] = cand.Counts
-		t.state[s] = countKept
-		for _, st := range t.state {
-			if st == countOffered {
-				return
-			}
-		}
-		delete(inc.pool, key)
-		return
-	}
-	if t == nil {
-		t = newShardCand(cand.GR, len(inc.workers))
-		inc.pool[key] = t
-	}
-	t.per[s] = cand.Counts
-	t.state[s] = countOffered
-}
-
 // routedEdge is one edge of a batch as the coordinator routed it: the
 // owning shard, the attribute values the match rules read, and +1 for an
 // insertion or −1 for a retraction.
@@ -334,24 +299,25 @@ type routedEdge struct {
 	sign          int
 }
 
-// applyRouted moves every kept count by the batch's routed edges, with the
-// match rules of WorkerState.recount: an edge matching l ∧ w moves LW, and
-// then LWR if it matches r, or else Hom if its destination carries the LHS
-// value on every β attribute; an edge matching r moves R. Offered counts
-// are left alone — their worker reports the new values as deltas. A kept
-// count thus stays shard s's exact count over its live edges, because
-// routing is the shard's only source of edges (and failover restores a
-// shard bit-identically). It must run before the batch's deltas are
-// upserted: a delta that promotes a kept entry replaces its count outright.
+// applyRouted moves every known count — offered or kept — by the batch's
+// routed edges, with the match rules of WorkerState.recount: an edge
+// matching l ∧ w moves LW, and then LWR if it matches r, or else Hom if its
+// destination carries the LHS value on every β attribute; an edge matching
+// r moves R. A known count thus stays shard s's exact count over its live
+// edges, because routing is the shard's only source of edges (and failover
+// restores a shard bit-identically). An offered count now below
+// ShardMinSupp is one the worker stops tracking, so it becomes kept; an
+// entry no shard offers leaves the pool (n·(t−1) < minSupp). It must run
+// before the batch's entrants are upserted.
 func (inc *IncrementalSharded) applyRouted(edges []routedEdge) {
 	if len(edges) == 0 {
 		return
 	}
 	schema := inc.g.Schema()
 	needR, needHom := inc.opt.Metric.NeedsR, inc.opt.Metric.NeedsHom
-	for _, u := range inc.pool {
+	for key, u := range inc.pool {
 		for _, e := range edges {
-			if u.state[e.shard] != countKept {
+			if u.state[e.shard] == countUnknown {
 				continue
 			}
 			c := &u.per[e.shard]
@@ -367,6 +333,16 @@ func (inc *IncrementalSharded) applyRouted(edges []routedEdge) {
 			if needR && rMatch {
 				c.R += e.sign
 			}
+		}
+		offered := false
+		for s, st := range u.state {
+			if st == countOffered && u.per[s].LWR < inc.plan.ShardMinSupp {
+				u.state[s] = countKept
+			}
+			offered = offered || u.state[s] == countOffered
+		}
+		if !offered {
+			delete(inc.pool, key)
 		}
 	}
 }

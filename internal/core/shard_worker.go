@@ -42,14 +42,15 @@
 //   - Ingest moves incremental pool maintenance worker-side: a worker
 //     ingests its routed batch slice into its private graph/store, delta-
 //     recounts its own relaxed pool, re-mines the affected first-level
-//     subtrees, and replies with the pool deltas. The coordinator never
-//     reads shard-local state; only EdgeInsert batches go down and
-//     ShardCandidate deltas come back. (The incremental pool is maintained
-//     WITHOUT the OfferBound prune: bounds derived from a past edge set can
-//     rise as other shards grow, so a seed-time prune could hide an entry a
-//     later batch promotes. The bound is a batch-mine optimisation; the
-//     merge-side caps below recover most of the saving for the maintained
-//     pool too.)
+//     subtrees, and replies with its entrants — the GRs new to its pool.
+//     The coordinator never reads shard-local state; only routed batches
+//     go down and ShardCandidate entrants come back, because the
+//     coordinator moves every other count by its own routing. (The
+//     incremental pool is maintained WITHOUT the OfferBound prune: bounds
+//     derived from a past edge set can rise as other shards grow, so a
+//     seed-time prune could hide an entry a later batch promotes. The
+//     bound is a batch-mine optimisation; the merge-side caps below
+//     recover most of the saving for the maintained pool too.)
 package core
 
 import (
@@ -197,11 +198,10 @@ type ShardCandidate struct {
 }
 
 // IngestReply reports one worker's side of an incremental batch: its new
-// edge count, the pool deltas (every entry whose counts changed, that the
-// batch promoted into the pool, or that a deletion demoted below the shard
-// threshold — the last with final counts under ShardMinSupp, which tell the
-// coordinator the shard no longer tracks it), and the scoped re-mine's
-// selectivity.
+// edge count, the scoped re-mine's selectivity, and in Deltas the entrants —
+// the GRs that entered the worker's pool in this batch, with their exact
+// counts. The coordinator derives every other pool change from its own
+// routing (IncrementalSharded.applyRouted).
 //
 // grlint:wire v2
 type IngestReply struct {
@@ -699,35 +699,37 @@ func (w *WorkerState) countOnPostings(g gr.GR) metrics.Counts {
 	return c
 }
 
-// upsert records (or refreshes) one maintained-pool entry.
-func (w *WorkerState) upsert(g gr.GR, c metrics.Counts) {
+// upsert records (or refreshes) one maintained-pool entry and reports
+// whether the GR is new to the pool.
+func (w *WorkerState) upsert(g gr.GR, c metrics.Counts) bool {
 	key := g.Key()
-	t := w.pool[key]
-	if t == nil {
-		t = &workerEntry{gr: g}
-		if w.metric.NeedsHom {
-			t.betaMask = betaMaskOf(w.g.Schema(), g.L, g.R)
-		}
-		w.pool[key] = t
+	if t := w.pool[key]; t != nil {
+		t.c = c
+		return false
 	}
-	t.c = c
+	t := &workerEntry{gr: g, c: c}
+	if w.metric.NeedsHom {
+		t.betaMask = betaMaskOf(w.g.Schema(), g.L, g.R)
+	}
+	w.pool[key] = t
+	return true
 }
 
 // Ingest applies one routed batch slice worker-side: validate, append
 // insertions to the private graph and store, resolve retractions against the
 // pre-batch shard rows, delta-recount the maintained pool, tombstone the
 // retracted rows, re-mine the affected first-level subtrees, and reply with
-// every pool entry the batch touched. The per-shard pool is support-gated
-// at ShardMinSupp, which keeps deletions simpler than the single-store
-// engine's: supports only fall, so a retraction can never promote a new
-// entry (no deletion-scoped re-mine and no DeltaSafe/DeleteSafe gate is
-// needed — global score movement, including the lift family's under a
-// shrinking |E|, is re-evaluated at merge time from summed counts). A
-// retraction CAN demote an entry below the shard threshold; the worker then
-// stops tracking it but still reports it in the deltas with its final
-// below-threshold counts, so the coordinator's union pool stays a faithful
-// mirror of the worker pools. Like the single-store engine, the whole slice
-// is validated before any state changes.
+// the entrants — the GRs the re-mine added to the pool. The recount stays,
+// since demotion and checkpoints need exact counts, but its results do not
+// travel: the coordinator derives them from its own routing. The per-shard
+// pool is support-gated at ShardMinSupp, which keeps deletions simpler than
+// the single-store engine's: supports only fall, so a retraction can never
+// promote a new entry (no deletion-scoped re-mine and no
+// DeltaSafe/DeleteSafe gate is needed — global score movement, including the
+// lift family's under a shrinking |E|, is re-evaluated at merge time from
+// summed counts). A retraction CAN demote an entry below the shard
+// threshold; the worker then stops tracking it. Like the single-store
+// engine, the whole slice is validated before any state changes.
 func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	if w.pool == nil {
 		return IngestReply{}, fmt.Errorf("core: worker %d: ingest before a seeding Offer", w.idx)
@@ -750,9 +752,7 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	newRows := w.st.Append()
 
 	rep := IngestReply{}
-	changed := make(map[string]bool)
-	dropped := make(map[string]ShardCandidate)
-	rep.Recounted = w.recount(newRows, delRows, changed, dropped)
+	rep.Recounted = w.recount(newRows, delRows)
 	// Affected keys come from the inserted rows only (support-gated pools
 	// have no deletion entrants), read before the doomed rows tombstone.
 	collectAffectedInto(&w.aff, w.st, newRows, nil)
@@ -772,31 +772,22 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
 	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.offerOpts(), &w.aff,
 		func(g gr.GR, c metrics.Counts, score float64) {
-			w.upsert(g, c)
-			changed[g.Key()] = true
-			delete(dropped, g.Key())
+			if w.upsert(g, c) {
+				rep.Deltas = append(rep.Deltas, ShardCandidate{GR: g, Counts: c})
+			}
 		}, w.scr, &stats)
-	rep.Deltas = make([]ShardCandidate, 0, len(changed)+len(dropped))
-	for key := range changed {
-		if t := w.pool[key]; t != nil {
-			rep.Deltas = append(rep.Deltas, ShardCandidate{GR: t.gr, Counts: t.c})
-		}
-	}
-	for _, cand := range dropped {
-		rep.Deltas = append(rep.Deltas, cand)
-	}
 	rep.NumEdges = w.st.NumEdges()
 	rep.Stats = stats
 	return rep, nil
 }
 
 // recount delta-updates every maintained-pool entry against the shard's new
-// rows and doomed rows, marking changed keys. Mirrors the single-store
-// engine's recount, minus score-based drops (per-shard pools are
-// support-gated only; scores are a global-side concern) — but deletions can
-// demote an entry below the shard threshold, in which case it leaves the
-// pool and lands in dropped with its final counts for the coordinator.
-func (w *WorkerState) recount(newRows, delRows []int32, changed map[string]bool, dropped map[string]ShardCandidate) (recounted int) {
+// rows and doomed rows and returns how many entries the batch touched.
+// Mirrors the single-store engine's recount, minus score-based drops
+// (per-shard pools are support-gated only; scores are a global-side
+// concern) — but deletions can demote an entry below the shard threshold,
+// in which case it leaves the pool.
+func (w *WorkerState) recount(newRows, delRows []int32) (recounted int) {
 	totalE := w.st.NumEdges() - len(delRows)
 	needHom := w.metric.NeedsHom
 	needR := w.metric.NeedsR
@@ -834,16 +825,13 @@ func (w *WorkerState) recount(newRows, delRows []int32, changed map[string]bool,
 		}
 		t.c.E = totalE
 		if touched {
-			changed[key] = true
 			recounted++
 		}
 		if t.c.LWR < w.minSupp {
-			// Demoted below the shard threshold: stop tracking (a later
+			// Demoted below the shard threshold: stop tracking. A later
 			// re-promotion needs a full-descriptor insert, which the scoped
-			// re-mine re-captures) and report the final counts.
+			// re-mine re-captures and reports as an entrant.
 			delete(w.pool, key)
-			delete(changed, key)
-			dropped[key] = ShardCandidate{GR: t.gr, Counts: t.c}
 		}
 	}
 	return recounted

@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -93,10 +94,10 @@ func TestRemoteCheckpointBoundsReplay(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsV3Peer pins the version bump itself: a peer speaking
-// wire v3 — the pre-checkpoint protocol — must be rejected at handshake
-// with both versions named, not served a session that would silently fall
-// back to unbounded full replay.
+// TestHandshakeRejectsV3Peer pins the v4 bump: a peer speaking wire v3 —
+// the pre-checkpoint protocol — must be rejected at handshake with both
+// versions named, not served a session that would silently fall back to
+// unbounded full replay.
 func TestHandshakeRejectsV3Peer(t *testing.T) {
 	addr, errCh := serveOnce(t)
 	conn, err := net.Dial("tcp", addr)
@@ -111,11 +112,38 @@ func TestHandshakeRejectsV3Peer(t *testing.T) {
 	if err := gob.NewDecoder(conn).Decode(&rep); err != nil {
 		t.Fatalf("no handshake reply: %v", err)
 	}
-	if rep.OK || !strings.Contains(rep.Err, "v3") || !strings.Contains(rep.Err, "v4") {
+	if rep.OK || !strings.Contains(rep.Err, "v3") || !strings.Contains(rep.Err, fmt.Sprintf("v%d", rpc.Version)) {
 		t.Fatalf("v3 peer not rejected with both versions named: %+v", rep)
 	}
 	if err := waitErr(t, errCh); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("daemon survived a v3 peer: %v", err)
+	}
+}
+
+// TestHandshakeRejectsPreviousVersion pins the latest bump: a peer one
+// revision behind (v4, whose ingest replies carry every touched entry
+// rather than entrants only) must be rejected at handshake with both
+// versions named, since the skew would otherwise corrupt counts silently.
+func TestHandshakeRejectsPreviousVersion(t *testing.T) {
+	addr, errCh := serveOnce(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	prev := rpc.Version - 1
+	if err := gob.NewEncoder(conn).Encode(rpc.Hello{Magic: rpc.Magic, Version: prev}); err != nil {
+		t.Fatal(err)
+	}
+	var rep rpc.HelloReply
+	if err := gob.NewDecoder(conn).Decode(&rep); err != nil {
+		t.Fatalf("no handshake reply: %v", err)
+	}
+	if rep.OK || !strings.Contains(rep.Err, fmt.Sprintf("v%d", prev)) || !strings.Contains(rep.Err, fmt.Sprintf("v%d", rpc.Version)) {
+		t.Fatalf("v%d peer not rejected with both versions named: %+v", prev, rep)
+	}
+	if err := waitErr(t, errCh); err == nil || !strings.Contains(err.Error(), "mismatch") {
+		t.Fatalf("daemon survived a v%d peer: %v", prev, err)
 	}
 }
 

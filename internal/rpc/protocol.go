@@ -58,9 +58,19 @@ import (
 //	   a fleet silently falling back to unbounded full replay is exactly
 //	   the latency cliff checkpointing exists to remove, so version skew
 //	   is rejected at handshake like every other revision.
+//	5: ingest replies carry entrants only. Reply.Ingest.Deltas lists just
+//	   the GRs that entered the worker's pool in the batch; the coordinator
+//	   moves every other count from its own routing and derives demotions
+//	   itself. The wire structs are unchanged, so skew would be silent
+//	   both ways: a v4 daemon would still report demoted entries as
+//	   deltas, which a v5 coordinator would mark offered with counts below
+//	   the shard threshold; a v5 daemon under a v4 coordinator would leave
+//	   every offered count stale, since that coordinator waits for deltas
+//	   that never come. Either way the merge would rank from wrong counts,
+//	   so the bump makes the skew a handshake rejection.
 const (
 	Magic   = "grminer-shard"
-	Version = 4
+	Version = 5
 )
 
 // Hello is the client's first message on a fresh connection.
